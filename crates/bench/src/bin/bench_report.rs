@@ -11,8 +11,6 @@
 //!   procedures, the fig10 miniature) and `ext_chaos_shaped` (a
 //!   steady-state hold over hours of simulated time, the chaos
 //!   timeline). The `speedup` fields back the perf-campaign claim.
-//! * `run_until` — the single-pop horizon drain against the two-op
-//!   peek-then-pop loop it replaced.
 //! * `experiments` — full fig10/ext_chaos runs: wall seconds, DES
 //!   events processed (`netsim.des.processed`), end-to-end events/s,
 //!   and the p99 `netsim.sim.step` span cost in simulated ms (a
@@ -47,7 +45,6 @@ use std::time::Instant;
 struct Report {
     schema: &'static str,
     scheduler: Scheduler,
-    run_until: RunUntil,
     experiments: Experiments,
     mload: Mload,
     chaosload: Chaosload,
@@ -121,22 +118,6 @@ struct QueuePair {
     calendar_events_per_s: f64,
     heap_events_per_s: f64,
     speedup: f64,
-}
-
-#[derive(Serialize)]
-struct RunUntil {
-    events: u64,
-    /// Calendar `run_until`: one `pop_front` per event.
-    single_pop_events_per_s: f64,
-    /// Same calendar queue driven by an external peek-then-pop loop —
-    /// isolates the loop-shape win.
-    peek_then_pop_events_per_s: f64,
-    /// The replaced implementation: peek-then-pop on the binary heap.
-    heap_peek_then_pop_events_per_s: f64,
-    /// single_pop vs the replaced heap loop (the end-to-end win).
-    speedup: f64,
-    /// single_pop vs peek-then-pop on the same queue.
-    loop_shape_speedup: f64,
 }
 
 #[derive(Serialize)]
@@ -270,101 +251,6 @@ fn time_queue_pair(workload: fn(&mut dyn Des, &mut Rng) -> u64) -> QueuePair {
         calendar_events_per_s: events as f64 / cal_s,
         heap_events_per_s: events as f64 / heap_s,
         speedup: heap_s / cal_s,
-    }
-}
-
-/// Horizon-driven drain on the calendar queue: `run_until` (one
-/// `pop_front` per event) against the external peek-then-pop loop the
-/// simulator used before — on the *same* queue, so the difference is
-/// purely the loop shape (peek re-derives the cross-tier minimum every
-/// event; run_until amortizes it).
-fn time_run_until() -> RunUntil {
-    const PENDING: u32 = 100_000;
-    const HORIZON_STEP: f64 = 1.0;
-    let fill = |q: &mut EventQueue<u32>| {
-        let mut rng = Rng(0xDE50_F00D_5ACE_CA11);
-        for v in 0..PENDING {
-            q.schedule(rng.unit() * 600.0, v);
-        }
-    };
-    let single = || {
-        let mut q = EventQueue::new();
-        fill(&mut q);
-        let start = Instant::now();
-        let mut horizon = 0.0;
-        let mut n = 0u64;
-        while !q.is_empty() {
-            horizon += HORIZON_STEP;
-            n += q.run_until(horizon, |_, _, _| ()) as u64;
-        }
-        (n, start.elapsed().as_secs_f64())
-    };
-    let double = || {
-        let mut q = EventQueue::new();
-        fill(&mut q);
-        let start = Instant::now();
-        let mut horizon = 0.0;
-        let mut n = 0u64;
-        while !q.is_empty() {
-            horizon += HORIZON_STEP;
-            loop {
-                match q.peek() {
-                    Some(ev) if ev.time <= horizon => {}
-                    _ => break,
-                }
-                q.pop();
-                n += 1;
-            }
-        }
-        (n, start.elapsed().as_secs_f64())
-    };
-    let heap_double = || {
-        let mut q = ReferenceQueue::new();
-        let mut rng = Rng(0xDE50_F00D_5ACE_CA11);
-        for v in 0..PENDING {
-            q.schedule(rng.unit() * 600.0, v);
-        }
-        let start = Instant::now();
-        let mut horizon = 0.0;
-        let mut n = 0u64;
-        while !q.is_empty() {
-            horizon += HORIZON_STEP;
-            loop {
-                match q.peek() {
-                    Some(ev) if ev.time <= horizon => {}
-                    _ => break,
-                }
-                q.pop();
-                n += 1;
-            }
-        }
-        (n, start.elapsed().as_secs_f64())
-    };
-    let _ = single();
-    let _ = double();
-    let _ = heap_double();
-    let mut events = 0;
-    let mut single_s = f64::INFINITY;
-    let mut double_s = f64::INFINITY;
-    let mut heap_s = f64::INFINITY;
-    for _ in 0..TIMING_REPS {
-        let (n, s) = single();
-        events = n;
-        single_s = single_s.min(s);
-        let (n2, s) = double();
-        double_s = double_s.min(s);
-        assert_eq!(events, n2, "run_until drained a different event count");
-        let (n3, s) = heap_double();
-        heap_s = heap_s.min(s);
-        assert_eq!(events, n3, "heap loop drained a different event count");
-    }
-    RunUntil {
-        events,
-        single_pop_events_per_s: events as f64 / single_s,
-        peek_then_pop_events_per_s: events as f64 / double_s,
-        heap_peek_then_pop_events_per_s: events as f64 / heap_s,
-        speedup: heap_s / single_s,
-        loop_shape_speedup: double_s / single_s,
     }
 }
 
@@ -539,11 +425,6 @@ fn main() {
         "bench-report: fig10-shaped {:.2}x, ext_chaos-shaped {:.2}x",
         scheduler.fig10_shaped.speedup, scheduler.ext_chaos_shaped.speedup
     );
-    let run_until = time_run_until();
-    eprintln!(
-        "bench-report: run_until {:.2}x vs replaced heap loop ({:.2}x loop shape)",
-        run_until.speedup, run_until.loop_shape_speedup
-    );
     eprintln!("bench-report: full experiment runs (threads=1)");
     let experiments = Experiments {
         fig10: timed_experiment("fig10", sc_emu::fig10::run_obs),
@@ -566,7 +447,6 @@ fn main() {
     let report = Report {
         schema: "sc-bench/3",
         scheduler,
-        run_until,
         experiments,
         mload,
         chaosload,

@@ -4,14 +4,14 @@
 //! The library itself is intentionally empty — everything measurable
 //! lives in two kinds of targets:
 //!
-//! * **`benches/` — one Criterion target per paper table/figure**, named
-//!   after what it reproduces (`fig05` … `fig21`, `table2_dataset`,
-//!   `table3_cells`, `table4_reductions`), plus the DESIGN.md ablations
-//!   (`ablation_routing`, `ablation_cell_granularity`,
-//!   `ablation_rollback`, `ablation_visibility`), the extension
-//!   experiments (`ext_anchor`, `ext_chaos`, `ext_resilience`), and
-//!   `des_queue`, the calendar-queue vs. binary-heap scheduler
-//!   head-to-head. Run one with
+//! * **`benches/` — Criterion micro-benches of single hot paths**: the
+//!   fig18 kernels (`fig18a_abe`, `fig18b_relay`), the dataset and cell
+//!   builders (`table2_dataset`, `table3_cells`), the DESIGN.md
+//!   ablations (`ablation_routing`, `ablation_cell_granularity`,
+//!   `ablation_rollback`, `ablation_visibility`), and `des_queue`, the
+//!   calendar-queue vs. binary-heap scheduler head-to-head. Whole
+//!   experiment runs are timed by `bench-report` and `perfbench/`
+//!   instead. Run one with
 //!   `cargo bench -p sc-bench --bench fig18a_abe`, or everything with
 //!   `cargo bench -p sc-bench`. Use these for before/after work on a
 //!   single hot path.
@@ -20,13 +20,12 @@
 //!   record**: one self-timed binary that emits the `"sc-bench/3"`
 //!   snapshot consumed by `scripts/bench.sh` and checked in as
 //!   `BENCH_<date>.json`. It times the DES scheduler on fig10- and
-//!   ext_chaos-shaped workloads against the replaced binary heap, the
-//!   `run_until` loop shape, full fig10/ext_chaos experiment runs, the
-//!   million-UE `ext_mload` soak, and the fault-injected
-//!   `ext_chaosload` soak (both soaks' serial and parallel results
-//!   asserted byte-identical; chaosload's recovery SLOs — survival
-//!   ≥ 98 %, signaling surge ≤ 3× — asserted too), then reads peak
-//!   RSS. Schema and the snapshot trajectory: `docs/BENCHMARKS.md`.
+//!   ext_chaos-shaped workloads against the replaced binary heap, full
+//!   fig10/ext_chaos experiment runs, the million-UE `ext_mload` soak,
+//!   and the fault-injected `ext_chaosload` soak (both soaks' serial
+//!   and parallel results asserted byte-identical; chaosload's
+//!   recovery SLOs — survival ≥ 98 %, signaling surge ≤ 3× — asserted
+//!   too), then reads peak RSS. Schema and the snapshot trajectory: `docs/BENCHMARKS.md`.
 //!
 //! This crate and `scripts/` are the only places in the tree allowed to
 //! read a wall clock — everything else must be deterministic, and

@@ -20,8 +20,7 @@
 //! | [`fig21`] | Fig. 21 — user-level ping/TCP stalling in satellite mobility |
 //!
 //! Every experiment is deterministic (seeded), emits JSON via `serde`,
-//! and is exercised by both a binary (`cargo run -p sc-emu --bin figNN`)
-//! and a Criterion bench target (`crates/bench`).
+//! and is exercised by a binary (`cargo run -p sc-emu --bin figNN`).
 //!
 //! Sweeps fan independent cells out over the [`engine`] worker pool
 //! (`SC_EMU_THREADS` overrides the worker count); results are ordered

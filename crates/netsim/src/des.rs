@@ -660,7 +660,7 @@ impl<E: PartialEq> EventQueue<E> {
     /// being processed. Callers must therefore never schedule a
     /// follow-up less than one full window ahead of the event that
     /// triggered it; with windows of [`Self::BUCKET_WIDTH_S`] and
-    /// minimum follow-up delays of the same width (the `ext_mload`
+    /// minimum follow-up delays of the same width (the churn-engine
     /// regime), a reaction to an event in `[t, t + w)` lands at or
     /// past `t + w` — always a later batch. The clock still advances
     /// per drained event, so scheduling from the processing loop obeys
@@ -886,7 +886,7 @@ mod tests {
         q.drain_until(1.0, &mut batch);
         assert_eq!(q.now(), 0.75);
         // A follow-up one full window ahead of the drained event is
-        // always schedulable — the ext_mload contract.
+        // always schedulable — the churn-engine contract.
         for e in &batch {
             q.schedule(e.time + 1.0, "follow-up");
         }

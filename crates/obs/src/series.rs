@@ -5,8 +5,8 @@
 //! microsecond-tick grid: a sample at sim-time `t` lands in window
 //! `round(t·1e6) / WINDOW_TICKS`. With the default
 //! [`WINDOW_TICKS`] = 1 000 000 the window is exactly 1.0 native time
-//! unit — the DES calendar's `BUCKET_WIDTH_S` and the `ext_mload` /
-//! `ext_chaosload` batch window — so a `drain_until` batch never
+//! unit — the DES calendar's `BUCKET_WIDTH_S` and the churn engine's
+//! default batch window — so a `drain_until` batch never
 //! straddles a window and the rounding rule matches the engines' own
 //! `tick()` grids (an event scheduled *exactly* on a bucket boundary
 //! belongs to the window it opens).

@@ -3,7 +3,7 @@
 //! The paper's natural shard key is the **geospatial cell**: all
 //! serving state for a UE lives in the cell the UE occupies, never in
 //! the satellite passing overhead (§4.1). This module gives the
-//! million-UE engine (`sc-emu`'s `ext_mload`) that model as data
+//! million-UE engine (`sc-emu`'s `churn`) that model as data
 //! structures:
 //!
 //! * [`ShardMap`] — partitions the row-major cell index space of a
@@ -24,7 +24,7 @@
 //!
 //! Everything here is `u64`/`f64` sums over disjoint cell ranges:
 //! merging shard results in any grouping reproduces the single-shard
-//! numbers exactly, which is what lets `ext_mload` assert byte-identical
+//! numbers exactly, which is what lets the engine assert byte-identical
 //! output across `SC_EMU_THREADS` and shard counts.
 
 use crate::mobility::{MobilityEvent, MobilityManager};

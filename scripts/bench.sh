@@ -2,7 +2,6 @@
 # Performance snapshot: build release and emit a machine-readable
 # BENCH_<date>.json (schema documented in docs/BENCHMARKS.md) with
 #   - calendar-vs-heap DES events/s on the fig10/ext_chaos shapes,
-#   - run_until loop-shape throughput,
 #   - full fig10/ext_chaos runs: wall s, events/s, p99 step cost
 #     (simulated ms, from the sc-obs span sidecar),
 #   - the million-UE ext_mload soak: total UEs, steady-state events/s,

@@ -52,6 +52,28 @@ if [ "${SC_NO_RATCHET:-0}" = "0" ]; then
     echo "== tier-1: perf-ratchet clean (--fail-on-regress 5)" >&2
 fi
 
+# Headline artifacts: regenerate the full million-UE soaks (release,
+# SC_OBS=1) in a temp dir, so checked-in files are never touched, and
+# require the result JSON, the telemetry sidecar and the stdout render
+# to match results/ byte for byte.
+echo "== tier-1: headline artifacts (full ext_mload + ext_chaosload vs results/)" >&2
+HEAD_TMP="$(mktemp -d)"
+for exp in ext_mload ext_chaosload; do
+    ( cd "$HEAD_TMP" && \
+      SC_OBS=1 cargo run -q --release --offline \
+          --manifest-path "$OLDPWD/Cargo.toml" -p sc-emu --bin "$exp" > "$HEAD_TMP/$exp.txt" )
+    for f in "results/$exp.json" "results/$exp.telemetry.json"; do
+        cmp "$f" "$HEAD_TMP/$f" || {
+            echo "== tier-1: FAIL — regenerated $f differs from the checked-in file" >&2
+            rm -rf "$HEAD_TMP"; exit 1; }
+    done
+    cmp "results/$exp.txt" "$HEAD_TMP/$exp.txt" || {
+        echo "== tier-1: FAIL — $exp stdout differs from results/$exp.txt" >&2
+        rm -rf "$HEAD_TMP"; exit 1; }
+    echo "== tier-1: $exp full soak byte-identical (json, telemetry, txt)" >&2
+done
+rm -rf "$HEAD_TMP"
+
 # Opt-in telemetry determinism check (SC_OBS=1 scripts/tier1.sh): run
 # fig05 and fig10 with the sc-obs sidecar enabled, twice and under
 # different thread counts, and require byte-identical telemetry.json.

@@ -112,6 +112,47 @@ proptest! {
             prop_assert_eq!(&reference.1, &got.1, "batch={} crash={}", batch_window_s, crash_s);
         }
     }
+
+    /// An empty failure timeline is the failure-free soak: the chaos
+    /// engine reports exactly `ext_mload`'s churn on the same load
+    /// config, and no robustness path ever fires.
+    #[test]
+    fn zero_fault_chaosload_is_mload(
+        total_ues in 50usize..400,
+        shards in 1usize..32,
+        seed in any::<u64>(),
+    ) {
+        let cfg = ChaosloadConfig {
+            timeline: FailureTimeline::none(),
+            ..small(total_ues, shards, seed, 6.0)
+        };
+        let c = run_config_with(2, &Recorder::disabled(), &cfg);
+        let m = sc_emu::ext_mload::run_config_with(2, &Recorder::disabled(), &cfg.load);
+        prop_assert_eq!(
+            (c.events_total, c.events_measured, c.arrivals, c.establishments),
+            (m.events_total, m.events_measured, m.arrivals, m.establishments)
+        );
+        prop_assert_eq!(
+            (c.piggybacked_arrivals, c.releases, c.local_handovers, c.idle_sweeps),
+            (m.piggybacked_arrivals, m.releases, m.local_handovers, m.idle_sweeps)
+        );
+        prop_assert_eq!(
+            (c.cell_crossings, c.spacecore_msgs, c.legacy_msgs),
+            (m.cell_crossings, m.spacecore_msgs, m.legacy_msgs)
+        );
+        prop_assert_eq!(c.signaling_reduction.to_bits(), m.signaling_reduction.to_bits());
+        prop_assert_eq!(c.mean_active_sessions.to_bits(), m.mean_active_sessions.to_bits());
+        prop_assert_eq!(c.p99_step_cost_ms, m.p99_step_cost_ms);
+        prop_assert!(c.crashes.is_empty());
+        let chaos_counters = [
+            c.sessions_dropped, c.reattach_attempts, c.reattach_failures,
+            c.sessions_reestablished, c.sessions_survived, c.sessions_late,
+            c.sessions_lost, c.reattaching_at_horizon, c.budget_exhausted,
+            c.deferred_handovers, c.deferred_releases, c.deferred_establishments,
+            c.shed_crossings, c.burst_losses,
+        ];
+        prop_assert_eq!(chaos_counters, [0; 14]);
+    }
 }
 
 /// The chaos scenario is a pure function of the seed: same seed → same
@@ -151,5 +192,70 @@ fn crash_at_measurement_edges_keeps_accounting_consistent() {
             r.sessions_survived + r.sessions_late + r.sessions_lost + pending,
             "crash_s={crash_s}"
         );
+    }
+}
+
+/// A recovery deadline off the 0.25 s slot grid is rejected in every
+/// build profile: flooring it would count sessions re-established just
+/// before the deadline as late.
+#[test]
+#[should_panic(expected = "0.25 s slot grid")]
+fn deadline_off_the_slot_grid_is_rejected() {
+    let cfg = ChaosloadConfig {
+        deadline_s: 12.1,
+        ..small(50, 2, 1, 6.0)
+    };
+    run_config_with(1, &Recorder::disabled(), &cfg);
+}
+
+/// The per-UE attempt counter is a byte: a larger retry budget is
+/// rejected rather than wrapped.
+#[test]
+#[should_panic(expected = "max_attempts")]
+fn retry_budget_beyond_the_attempt_counter_is_rejected() {
+    let mut cfg = small(50, 2, 1, 6.0);
+    cfg.budget.max_attempts = 256;
+    run_config_with(1, &Recorder::disabled(), &cfg);
+}
+
+/// The per-UE crash row is a signed byte: a scenario with more crashes
+/// inside the horizon than it can index is rejected.
+#[test]
+#[should_panic(expected = "crash count")]
+fn crash_count_beyond_the_crash_row_is_rejected() {
+    let timeline = (0..128).fold(FailureTimeline::none(), |tl, k| {
+        tl.crash(5_000.0 + f64::from(k), 5)
+    });
+    let cfg = ChaosloadConfig {
+        timeline,
+        ..small(50, 2, 1, 6.0)
+    };
+    run_config_with(1, &Recorder::disabled(), &cfg);
+}
+
+/// Thread and shard invariance on a 3,000-UE soak whose crash and loss
+/// burst overlap, including threads=3 over one shard per cell.
+#[test]
+fn results_thread_and_shard_invariant_smoke() {
+    let cfg = |shards| ChaosloadConfig {
+        load: MloadConfig {
+            total_ues: 3_000,
+            shards,
+            warmup_s: 3.0,
+            measure_s: 15.0,
+            ..MloadConfig::smoke()
+        },
+        timeline: FailureTimeline::none()
+            .crash(6_000.0, 5)
+            .recover(8_000.0, 5)
+            .loss_burst(6_000.0, 9_000.0, 0.25)
+            .with_seed(0xC4A0_5EED),
+        deadline_s: 10.0,
+        ..ChaosloadConfig::smoke()
+    };
+    let reference = artifacts(1, &cfg(8));
+    for (threads, shards) in [(4, 8), (2, 1), (3, 1584)] {
+        let got = artifacts(threads, &cfg(shards));
+        assert_eq!(got, reference, "threads={threads} shards={shards}");
     }
 }

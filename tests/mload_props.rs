@@ -92,3 +92,47 @@ fn shard_invariance_at_extremes() {
         assert_eq!(reference, got, "shards={shards}");
     }
 }
+
+/// The 2,000-UE, 25 s config the engine's determinism was first pinned
+/// on: every churn path, dense enough that shards share crossings.
+fn tiny() -> MloadConfig {
+    MloadConfig {
+        total_ues: 2_000,
+        shards: 8,
+        warmup_s: 5.0,
+        measure_s: 20.0,
+        seed: 0x5C_10AD,
+        crossing_interval_s: 120.0,
+    }
+}
+
+#[test]
+fn results_and_telemetry_thread_invariant() {
+    let reference = artifacts(1, &tiny());
+    for threads in [2, 4] {
+        assert_eq!(artifacts(threads, &tiny()), reference, "threads={threads}");
+    }
+}
+
+#[test]
+fn results_and_telemetry_shard_invariant() {
+    let reference = artifacts(2, &MloadConfig { shards: 1, ..tiny() });
+    for shards in [3, 16, 1584, 5000] {
+        let got = artifacts(2, &MloadConfig { shards, ..tiny() });
+        assert_eq!(got, reference, "shards={shards}");
+    }
+}
+
+/// With telemetry off (the production path): thread-invariant, and a
+/// different seed gives different churn.
+#[test]
+fn churn_schedule_deterministic_in_seed() {
+    let run = |threads, cfg: &MloadConfig| {
+        let r = run_config_with(threads, &Recorder::disabled(), cfg);
+        serde_json::to_string(&r).expect("serialize")
+    };
+    let a = run(2, &tiny());
+    assert_eq!(a, run(4, &tiny()));
+    let other = run(2, &MloadConfig { seed: 99, ..tiny() });
+    assert_ne!(a, other, "different seeds must produce different churn");
+}

@@ -58,8 +58,8 @@ proptest! {
     /// Recording granularity is invisible for counters: one
     /// `series_inc` per event produces the same series as one
     /// pre-bucketed `series_inc_tick` per window — the contract that
-    /// lets `ext_mload` bill a whole drained batch at once while the
-    /// DES bills per event.
+    /// lets the churn engine emit its folded per-window tallies at once
+    /// while the DES bills per event.
     #[test]
     fn per_event_and_per_window_recording_agree(
         events in proptest::collection::vec((0u32..1_000, 1u64..20), 1..200),
