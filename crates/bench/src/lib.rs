@@ -1,33 +1,21 @@
-//! Measurement substrate: Criterion micro-benches plus the `BENCH_*.json`
-//! snapshot binary.
+//! Criterion micro-benches of single hot paths.
 //!
 //! The library itself is intentionally empty — everything measurable
-//! lives in two kinds of targets:
+//! lives in `benches/`: the fig18 kernels (`fig18a_abe`,
+//! `fig18b_relay`), the dataset and cell builders (`table2_dataset`,
+//! `table3_cells`), the DESIGN.md ablations (`ablation_routing`,
+//! `ablation_cell_granularity`, `ablation_rollback`,
+//! `ablation_visibility`), and `des_queue`, the calendar-queue vs.
+//! binary-heap scheduler head-to-head on the hold, fig10-shaped and
+//! ext_chaos-shaped workloads. Run one with
+//! `cargo bench -p sc-bench --bench fig18a_abe`, or everything with
+//! `cargo bench -p sc-bench`. Use these for before/after work on a
+//! single hot path.
 //!
-//! * **`benches/` — Criterion micro-benches of single hot paths**: the
-//!   fig18 kernels (`fig18a_abe`, `fig18b_relay`), the dataset and cell
-//!   builders (`table2_dataset`, `table3_cells`), the DESIGN.md
-//!   ablations (`ablation_routing`, `ablation_cell_granularity`,
-//!   `ablation_rollback`, `ablation_visibility`), and `des_queue`, the
-//!   calendar-queue vs. binary-heap scheduler head-to-head. Whole
-//!   experiment runs are timed by `bench-report` and `perfbench/`
-//!   instead. Run one with
-//!   `cargo bench -p sc-bench --bench fig18a_abe`, or everything with
-//!   `cargo bench -p sc-bench`. Use these for before/after work on a
-//!   single hot path.
+//! Whole experiment runs are timed end to end and per layer by
+//! `perfbench/` (declared by `BENCHMARK.json`, see
+//! `perfbench/README.md` and `docs/BENCHMARKS.md`).
 //!
-//! * **`bench-report` (`src/bin/bench_report.rs`) — the cross-PR
-//!   record**: one self-timed binary that emits the `"sc-bench/3"`
-//!   snapshot consumed by `scripts/bench.sh` and checked in as
-//!   `BENCH_<date>.json`. It times the DES scheduler on fig10- and
-//!   ext_chaos-shaped workloads against the replaced binary heap, full
-//!   fig10/ext_chaos experiment runs, the million-UE `ext_mload` soak,
-//!   and the fault-injected `ext_chaosload` soak (both soaks' serial
-//!   and parallel results asserted byte-identical; chaosload's
-//!   recovery SLOs — survival ≥ 98 %, signaling surge ≤ 3× — asserted
-//!   too), then reads peak RSS. Schema and the snapshot trajectory: `docs/BENCHMARKS.md`.
-//!
-//! This crate and `scripts/` are the only places in the tree allowed to
-//! read a wall clock — everything else must be deterministic, and
-//! sc-audit's R2 rule enforces exactly that (the allowlist lives in
-//! `crates/audit`). Keep new timing code here.
+//! No file here reads a wall clock: Criterion does the timing, and
+//! sc-audit's R2 rule keeps it that way (the allowlist lives in
+//! `crates/audit`).

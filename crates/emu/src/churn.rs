@@ -908,9 +908,8 @@ impl<'a> Shard<'a> {
         // Apply through the event's *exact* quantized timestamp: the
         // s → ms roundtrip can land one ulp short of it.
         self.cursor.advance_to(cfg.timeline.events()[k].time_ms, &self.quiet);
-        let now_us = tick(t);
         for sw in storms.iter().filter(|s| s.ev_idx == k) {
-            self.storm.open(sw.cells.clone(), now_us, tick(sw.until_s));
+            self.storm.open(sw.cells.clone(), tick(sw.until_s));
         }
         let Some(row) = metas.iter().position(|m| m.ev_idx == k) else {
             return; // recover/link/burst/flap: no drops

@@ -15,9 +15,9 @@
 //!   per-cell token bucket with jittered exponential backoff. Admission
 //!   is *stateless*: each dropped UE hashes into one of the bucket's
 //!   refill slots, so the storm drains at a fixed per-cell rate without
-//!   any first-come-first-served state that would couple shards. The
-//!   per-cell bucket clocks live in dense cell-indexed Vecs
-//!   ([`spacecore::shard::CellStorm`]).
+//!   any first-come-first-served state that would couple shards. There
+//!   is no per-cell bucket clock: a dropped UE's first attempt is timed
+//!   from its crash marker, so the budget needs no state of its own.
 //! * **Overload gate** — while a crashed satellite's footprint is
 //!   inside its overload window (crash → recovery + hold), the serving
 //!   satellite sheds or defers low-priority signaling: connected-UE
@@ -39,8 +39,9 @@
 //! survival within the deadline, and the signaling-surge amplitude —
 //! peak re-registration rate over the crashed footprint's cells versus
 //! those cells' steady-state C1 establishment rate. The acceptance bar
-//! (≥ 98 % survival, surge ≤ 3×) is asserted by `bench-report`'s
-//! `chaosload` section on the full run.
+//! (≥ 98 % survival, surge ≤ 3×, no breached SLO window) is asserted on
+//! the checked-in full-run sidecar by `tests/headline_slos.rs`, and on
+//! every timed call by `perfbench/`.
 
 use crate::churn::{Names, Run, SLO_WINDOW_S};
 use sc_netsim::chaos::FailureTimeline;
@@ -189,8 +190,8 @@ pub struct ExtChaosload {
     /// Re-registration signaling per 1 s window over the storm cells —
     /// the folded source of `peak_rereg_per_s` and the
     /// `emu.chaosload.rereg_storm_per_s` telemetry series; the storm's
-    /// time axis in the results JSON. `bench-report` reads it
-    /// in-process for the surge-per-window summary.
+    /// time axis in the results JSON (`sctrace series` renders the same
+    /// windows from the sidecar).
     pub rereg_storm_win: Vec<u64>,
 }
 

@@ -20,8 +20,8 @@
 //! the per-region rows. Results and telemetry are byte-identical across
 //! `SC_EMU_THREADS` and shard counts (the engine's contract).
 //!
-//! Wall-clock throughput (steady-state events/s, p99 step cost, peak
-//! RSS) is reported by `bench-report`'s `mload` section, not here:
+//! Wall-clock throughput (events/s, set-up and drain time, peak RSS) is
+//! measured by `perfbench/`'s `mload` workload, not here:
 //! `results/ext_mload.json` holds only deterministic quantities.
 
 use crate::churn::{ChaosloadConfig, Names, Run, REGIONS};

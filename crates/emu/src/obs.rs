@@ -39,10 +39,12 @@ pub fn run_cli<R: serde::Serialize>(
     let (r, timing) = crate::report::timed(experiment, || run(&rec));
     timing.eprint();
     println!("{}", render(&r));
-    std::fs::create_dir_all("results").expect("create results dir");
     let json = serde_json::to_string_pretty(&r).expect("serialize");
     let path = format!("results/{experiment}.json");
-    std::fs::write(&path, json).expect("write json");
+    if let Err(e) = std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, json)) {
+        eprintln!("{experiment}: cannot write {path}: {e}");
+        std::process::exit(1);
+    }
     eprintln!("wrote {path}");
     sink.write();
 }

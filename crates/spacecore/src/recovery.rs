@@ -140,7 +140,8 @@ impl RecoveryCosts {
 /// and threads; instead each affected UE hashes into one of `tokens`
 /// refill slots, so the bucket drains at `1/token_interval_s` tokens
 /// per second per cell without any shard observing its neighbors. The
-/// dense per-cell bucket clocks live in `shard::CellStorm`.
+/// bucket clock is the crash instant itself, so no per-cell clock is
+/// stored.
 #[derive(Debug, Clone, Copy)]
 pub struct RetryBudget {
     /// Loss-detection delay before the first token is claimable, s.

@@ -101,8 +101,8 @@ impl ShardMap {
 /// integration over a `[window_start, window_end]` measurement window.
 ///
 /// `connect`/`release`/`move_session` advance a running integral of
-/// `active_total · dt`, clamped to the window — so
-/// `busy_integral / (window_end − window_start)` is the exact
+/// (active sessions) · dt, clamped to the window — so `busy_us` over
+/// the window length in µs is the exact
 /// time-averaged concurrent session count over the measured interval,
 /// regardless of how calls interleave with the window edges.
 ///
@@ -141,7 +141,7 @@ impl CellLedger {
         }
     }
 
-    /// Accumulate `active_total · dt` over the part of
+    /// Accumulate `total_active · dt` over the part of
     /// `[last_t, now]` inside the window.
     fn advance(&mut self, now_us: u64) {
         let a = self.last_us.max(self.start_us);
@@ -181,22 +181,12 @@ impl CellLedger {
         self.advance(self.end_us);
     }
 
-    /// Sessions currently active across all cells.
-    pub fn active_total(&self) -> u64 {
-        self.total_active
-    }
-
-    /// `∫ active_total dt` over the window in microsecond ticks — the
-    /// exact, shard-additive form. Sum these across shards *before*
+    /// `∫ active sessions dt` over the window in microsecond ticks —
+    /// the exact, shard-additive form (call [`Self::finish`] first for
+    /// the full-window value). Sum these across shards *before*
     /// converting to seconds.
     pub fn busy_us(&self) -> u64 {
         self.busy_us
-    }
-
-    /// `∫ active_total dt` over the window, seconds (call
-    /// [`Self::finish`] first for the full-window value).
-    pub fn busy_integral(&self) -> f64 {
-        self.busy_us as f64 * 1e-6
     }
 
     /// Per-cell active counts, dense by cell index.
@@ -346,58 +336,42 @@ impl ShardStats {
     }
 }
 
-/// Dense per-cell storm state for chaos injection: the retry-budget
-/// bucket clock and the overload/admission-control window, both **by
-/// cell index** (`Vec<u64>` of µs ticks — no per-UE keyed collections,
-/// same statelessness rule `CellLedger` obeys).
+/// Dense per-cell overload/admission-control windows for chaos
+/// injection, **by cell index** (`Vec<u64>` of µs ticks — no per-UE
+/// keyed collections, same statelessness rule `CellLedger` obeys).
 ///
 /// When a serving satellite crashes, every cell in its footprint opens
-/// a *storm*: `storm_start_us` anchors the cell's token-bucket refill
-/// clock (retries are paced from the crash instant, see
-/// `recovery::RetryBudget`), and `overload_until_us` marks the window
-/// during which the replacement satellite sheds or defers low-priority
-/// signaling. Both are derived purely from the failure timeline, so
-/// every shard — under any shard layout — computes identical windows.
+/// a *storm*: `overload_until_us` marks the window during which the
+/// replacement satellite sheds or defers low-priority signaling. It is
+/// derived purely from the failure timeline, so every shard — under any
+/// shard layout — computes identical windows. (Retries are paced from
+/// the crash instant itself, see `recovery::RetryBudget`.)
 #[derive(Debug, Clone)]
 pub struct CellStorm {
-    storm_start_us: Vec<u64>,
     overload_until_us: Vec<u64>,
 }
 
 impl CellStorm {
-    /// Quiet state over `cells` cells: no storms, no overload.
+    /// Quiet state over `cells` cells: no overload.
     pub fn new(cells: usize) -> Self {
         Self {
-            storm_start_us: vec![0; cells],
             overload_until_us: vec![0; cells],
         }
     }
 
     /// Open a storm over a contiguous cell range (a crashed satellite's
-    /// footprint): anchor the bucket clock at the crash tick and extend
-    /// the overload window (overlapping storms keep the later close).
-    pub fn open(&mut self, cells: std::ops::Range<usize>, start_us: u64, until_us: u64) {
+    /// footprint): extend the overload window to `until_us`
+    /// (overlapping storms keep the later close).
+    pub fn open(&mut self, cells: std::ops::Range<usize>, until_us: u64) {
         for c in cells {
-            self.storm_start_us[c] = start_us;
             self.overload_until_us[c] = self.overload_until_us[c].max(until_us);
         }
-    }
-
-    /// The cell's current bucket-clock anchor (µs tick of the most
-    /// recent crash affecting it; 0 = never stormed).
-    pub fn storm_start_us(&self, cell: usize) -> u64 {
-        self.storm_start_us[cell]
     }
 
     /// Is the cell's serving satellite inside an overload window at
     /// `now_us`?
     pub fn overloaded(&self, cell: usize, now_us: u64) -> bool {
         now_us < self.overload_until_us[cell]
-    }
-
-    /// Cells currently inside an overload window.
-    pub fn overloaded_cells(&self, now_us: u64) -> usize {
-        self.overload_until_us.iter().filter(|&&u| now_us < u).count()
     }
 }
 
@@ -517,14 +491,14 @@ mod tests {
     #[test]
     fn ledger_busy_integral_clamps_to_window() {
         // Window [10, 20]; one session from t=5 to t=15, another from
-        // t=12 to t=30 → integral = 1·(15−10) + 1·(20−12) = 13.
+        // t=12 to t=30 → integral = 1·(15−10) + 1·(20−12) = 13 s.
         let mut l = CellLedger::new(4, 10.0, 20.0);
         l.connect(0, 5.0);
         l.connect(1, 12.0);
         l.release(0, 15.0);
         l.finish();
-        assert!((l.busy_integral() - 13.0).abs() < 1e-9, "{}", l.busy_integral());
-        assert_eq!(l.active_total(), 1);
+        assert_eq!(l.busy_us(), 13_000_000);
+        assert_eq!(l.cell_active().iter().sum::<u32>(), 1);
         assert_eq!(l.cell_active(), &[0, 1, 0, 0]);
     }
 
@@ -533,11 +507,11 @@ mod tests {
         let mut l = CellLedger::new(3, 0.0, 10.0);
         l.connect(0, 1.0);
         l.move_session(0, 2);
-        assert_eq!(l.active_total(), 1);
+        assert_eq!(l.cell_active().iter().sum::<u32>(), 1);
         assert_eq!(l.cell_active(), &[0, 0, 1]);
         l.release(2, 4.0);
         l.finish();
-        assert!((l.busy_integral() - 3.0).abs() < 1e-9);
+        assert_eq!(l.busy_us(), 3_000_000);
     }
 
     #[test]
@@ -576,19 +550,15 @@ mod tests {
     #[test]
     fn cell_storm_windows_merge_by_latest_close() {
         let mut s = CellStorm::new(10);
-        assert!(!s.overloaded(3, 0));
-        assert_eq!(s.overloaded_cells(0), 0);
-        s.open(2..5, 1_000_000, 5_000_000);
-        assert_eq!(s.storm_start_us(3), 1_000_000);
+        assert!((0..10).all(|c| !s.overloaded(c, 0)));
+        s.open(2..5, 5_000_000);
         assert!(s.overloaded(3, 4_999_999) && !s.overloaded(3, 5_000_000));
         assert!(!s.overloaded(5, 2_000_000), "outside the footprint");
-        // A second overlapping storm re-anchors the clock but never
-        // shortens the overload window.
-        s.open(3..6, 2_000_000, 4_000_000);
-        assert_eq!(s.storm_start_us(3), 2_000_000);
+        // A second overlapping storm never shortens the overload window.
+        s.open(3..6, 4_000_000);
         assert!(s.overloaded(3, 4_500_000), "earlier window still open");
         assert!(s.overloaded(5, 3_999_999));
-        assert_eq!(s.overloaded_cells(3_000_000), 4);
+        assert_eq!((0..10).filter(|&c| s.overloaded(c, 3_000_000)).count(), 4);
     }
 
     #[test]

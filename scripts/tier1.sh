@@ -3,12 +3,15 @@
 #
 # Runs with --offline: every external dependency is vendored under
 # vendor/ (see vendor/README.md), so the build must never touch a
-# registry. Pass extra cargo arguments through, e.g.
-#   scripts/tier1.sh --workspace
-# to extend the test run to every workspace member.
+# registry. With no arguments the test run covers every workspace
+# member (--workspace); any arguments replace that and pass through to
+# `cargo test`, e.g.
+#   scripts/tier1.sh -p sc-netsim
 set -eu
 
 cd "$(dirname "$0")/.."
+
+[ "$#" -eq 0 ] && set -- --workspace
 
 echo "== tier-1: cargo build --release --offline" >&2
 cargo build --release --offline

@@ -5,8 +5,8 @@
 //! counts, and the churn schedule must be a pure function of the seed.
 //!
 //! These are the contracts that let `scripts/tier1.sh` cmp the smoke
-//! run's artifacts across thread counts, and let `bench-report` assert
-//! the serial and parallel million-UE soaks agree.
+//! run's artifacts across thread counts, and let `perfbench/` require
+//! the serial and parallel million-UE soaks to agree.
 
 use proptest::prelude::*;
 use sc_emu::ext_mload::{run_config_with, MloadConfig};
